@@ -24,7 +24,7 @@
 use core::fmt;
 
 use crate::isa::MemWidth;
-use crate::mem::Memory;
+use crate::mem::{bank_at, MemSpace, Memory};
 
 /// Why a DMA descriptor was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,8 @@ pub enum DmaDescError {
     Misaligned,
     /// `reps` is zero.
     ZeroReps,
-    /// Some part of the transfer falls outside mapped memory.
+    /// Some part of the transfer falls outside mapped memory, or one
+    /// side spans both memories.
     OutOfRange,
 }
 
@@ -60,8 +61,9 @@ impl std::error::Error for DmaDescError {}
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     id: u32,
-    src: u32,
-    dst: u32,
+    /// Space and byte offset of the first source / destination word.
+    src: (MemSpace, usize),
+    dst: (MemSpace, usize),
     bytes: u32,
     src_stride: u32,
     dst_stride: u32,
@@ -158,14 +160,16 @@ impl DmaEngine {
         if reps == 0 {
             return Err(DmaDescError::ZeroReps);
         }
-        // Validate the last word of the last repetition up front so the
-        // engine cannot fault mid-flight.
-        let last_src = src + (reps - 1) * src_stride + bytes - 4;
-        let last_dst = dst + (reps - 1) * dst_stride + bytes - 4;
-        mem.decode(last_src, MemWidth::Word)
-            .map_err(|_| DmaDescError::OutOfRange)?;
-        mem.decode(last_dst, MemWidth::Word)
-            .map_err(|_| DmaDescError::OutOfRange)?;
+        // Validate every word up front so the engine cannot fault
+        // mid-flight: unsigned strides only move forward, so a side whose
+        // first and last bytes lie in one mapped memory has every word
+        // there.
+        let side = |start: u32, stride: u32| {
+            let first = u64::from(start);
+            let last = first + u64::from(reps - 1) * u64::from(stride) + u64::from(bytes) - 1;
+            mem.span(first, last).ok_or(DmaDescError::OutOfRange)
+        };
+        let (src, dst) = (side(src, src_stride)?, side(dst, dst_stride)?);
 
         let id = self.completed.len() as u32;
         self.completed.push(false);
@@ -184,33 +188,33 @@ impl DmaEngine {
         Ok(id)
     }
 
-    /// Advances the engine by one cycle. `bank_busy[b]` marks TCDM banks
-    /// already claimed by cores this cycle; the engine claims further
-    /// banks for the words it moves (cores have priority — the engine
-    /// only takes free banks).
-    pub(crate) fn step(&mut self, mem: &mut Memory, bank_busy: &mut [bool]) {
-        let Some(head) = self.queue.front_mut() else {
-            return;
-        };
+    /// Advances the engine by one cycle and returns the id of the
+    /// transfer that completed in it, if any. `bank_busy[b]` marks TCDM
+    /// banks already claimed by cores this cycle; the engine claims
+    /// further banks for the words it moves (cores have priority — the
+    /// engine only takes free banks).
+    pub(crate) fn step(&mut self, mem: &mut Memory, bank_busy: &mut [bool]) -> Option<u32> {
+        let head = self.queue.front_mut()?;
         if head.startup_left > 0 {
             head.startup_left -= 1;
-            return;
+            return None;
         }
         let n_banks = bank_busy.len();
+        let bank = |(space, off)| (space == MemSpace::L1).then(|| bank_at(off, n_banks));
         for _ in 0..self.words_per_cycle {
-            let src = head.src + head.rep * head.src_stride + head.offset;
-            let dst = head.dst + head.rep * head.dst_stride + head.offset;
+            let (rep, offset) = (head.rep as usize, head.offset as usize);
+            let src = (
+                head.src.0,
+                head.src.1 + rep * head.src_stride as usize + offset,
+            );
+            let dst = (
+                head.dst.0,
+                head.dst.1 + rep * head.dst_stride as usize + offset,
+            );
 
             // The L1 side(s) of this word must win a free bank.
-            let mut needed: [Option<usize>; 2] = [None, None];
-            if let Some(b) = mem.bank_of(src, n_banks) {
-                needed[0] = Some(b);
-            }
-            if let Some(b) = mem.bank_of(dst, n_banks) {
-                needed[1] = Some(b);
-            }
-            let blocked = needed.iter().flatten().any(|&b| bank_busy[b]);
-            if blocked {
+            let needed = [bank(src), bank(dst)];
+            if needed.iter().flatten().any(|&b| bank_busy[b]) {
                 self.stats.bank_conflict_stalls += 1;
                 break; // in-order within the transfer
             }
@@ -218,11 +222,8 @@ impl DmaEngine {
                 bank_busy[b] = true;
             }
 
-            let word = mem
-                .read(src, MemWidth::Word)
-                .expect("validated at descriptor time");
-            mem.write(dst, MemWidth::Word, word)
-                .expect("validated at descriptor time");
+            let word = mem.read_at(src.0, src.1, MemWidth::Word);
+            mem.write_at(dst.0, dst.1, MemWidth::Word, word);
             self.stats.words_moved += 1;
 
             head.offset += 4;
@@ -230,13 +231,15 @@ impl DmaEngine {
                 head.offset = 0;
                 head.rep += 1;
                 if head.rep >= head.reps {
-                    self.completed[head.id as usize] = true;
+                    let id = head.id;
+                    self.completed[id as usize] = true;
                     self.stats.transfers += 1;
                     self.queue.pop_front();
-                    return; // next transfer starts next cycle
+                    return Some(id); // next transfer starts next cycle
                 }
             }
         }
+        None
     }
 }
 
@@ -381,6 +384,55 @@ mod tests {
             dma.start_from_descriptor(&mem, L1_BASE).unwrap_err(),
             DmaDescError::OutOfRange
         );
+    }
+
+    #[test]
+    fn every_repetition_is_validated_not_only_the_last() {
+        // Wolf-sized memories: the middle repetition of the source lands
+        // in the unmapped hole between L1 and L2, the last one in L2.
+        let mut dma = DmaEngine::new(2, 0);
+        let mut mem = Memory::new(64 * 1024, 512 * 1024);
+        let hole_stride = (L2_BASE - L1_BASE - 1024) / 2;
+        write_desc(
+            &mut mem,
+            L1_BASE,
+            [L1_BASE + 1024, L1_BASE + 2048, 4, hole_stride, 4, 3],
+        );
+        assert_eq!(
+            dma.start_from_descriptor(&mem, L1_BASE).unwrap_err(),
+            DmaDescError::OutOfRange
+        );
+        // The same on the destination side.
+        write_desc(
+            &mut mem,
+            L1_BASE,
+            [L1_BASE + 2048, L1_BASE + 1024, 4, 4, hole_stride, 3],
+        );
+        assert_eq!(
+            dma.start_from_descriptor(&mem, L1_BASE).unwrap_err(),
+            DmaDescError::OutOfRange
+        );
+        // A stride whose 32-bit sum would wrap back into L1.
+        write_desc(
+            &mut mem,
+            L1_BASE,
+            [L1_BASE + 1024, L1_BASE + 2048, 4, 0x8000_0000, 4, 3],
+        );
+        assert_eq!(
+            dma.start_from_descriptor(&mem, L1_BASE).unwrap_err(),
+            DmaDescError::OutOfRange
+        );
+        assert!(dma.is_idle(), "rejected descriptors enqueue nothing");
+        assert!(!dma.id_exists(0));
+    }
+
+    #[test]
+    fn step_reports_the_completed_transfer() {
+        let (mut dma, mut mem) = engine_and_mem();
+        write_desc(&mut mem, L1_BASE, [L2_BASE, L1_BASE + 512, 8, 0, 0, 1]);
+        let id = dma.start_from_descriptor(&mem, L1_BASE).unwrap();
+        assert_eq!(dma.step(&mut mem, &mut [false; 8]), Some(id));
+        assert_eq!(dma.step(&mut mem, &mut [false; 8]), None, "idle");
     }
 
     #[test]

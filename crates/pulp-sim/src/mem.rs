@@ -112,7 +112,7 @@ impl Memory {
     /// accesses.
     pub fn decode(&self, addr: u32, width: MemWidth) -> Result<(MemSpace, usize), MemFault> {
         let bytes = width.bytes();
-        if addr % bytes != 0 {
+        if addr & (bytes - 1) != 0 {
             return Err(MemFault {
                 addr,
                 width,
@@ -156,6 +156,45 @@ impl Memory {
         }
     }
 
+    /// Reads a zero-extended value at an offset [`decode`](Self::decode)
+    /// returned.
+    pub(crate) fn read_at(&self, space: MemSpace, off: usize, width: MemWidth) -> u32 {
+        let mem = self.slice(space);
+        match width {
+            MemWidth::Byte => u32::from(mem[off]),
+            MemWidth::Half => u32::from(u16::from_le_bytes([mem[off], mem[off + 1]])),
+            MemWidth::Word => {
+                u32::from_le_bytes([mem[off], mem[off + 1], mem[off + 2], mem[off + 3]])
+            }
+        }
+    }
+
+    /// Writes the low bits of `value` at an offset
+    /// [`decode`](Self::decode) returned.
+    pub(crate) fn write_at(&mut self, space: MemSpace, off: usize, width: MemWidth, value: u32) {
+        let mem = self.slice_mut(space);
+        match width {
+            MemWidth::Byte => mem[off] = value as u8,
+            MemWidth::Half => mem[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
+            MemWidth::Word => mem[off..off + 4].copy_from_slice(&value.to_le_bytes()),
+        }
+    }
+
+    /// The space and offset of `first` if every byte from `first` to
+    /// `last` (inclusive) lies inside one mapped memory.
+    pub(crate) fn span(&self, first: u64, last: u64) -> Option<(MemSpace, usize)> {
+        [
+            (MemSpace::L1, L1_BASE, self.l1.len()),
+            (MemSpace::L2, L2_BASE, self.l2.len()),
+        ]
+        .into_iter()
+        .find(|&(_, base, size)| {
+            let base = u64::from(base);
+            first >= base && first <= last && last < base + size as u64
+        })
+        .map(|(space, base, _)| (space, (first - u64::from(base)) as usize))
+    }
+
     /// Reads a zero-extended value.
     ///
     /// # Errors
@@ -163,14 +202,7 @@ impl Memory {
     /// Returns [`MemFault`] as for [`decode`](Self::decode).
     pub fn read(&self, addr: u32, width: MemWidth) -> Result<u32, MemFault> {
         let (space, off) = self.decode(addr, width)?;
-        let mem = self.slice(space);
-        Ok(match width {
-            MemWidth::Byte => u32::from(mem[off]),
-            MemWidth::Half => u32::from(u16::from_le_bytes([mem[off], mem[off + 1]])),
-            MemWidth::Word => {
-                u32::from_le_bytes([mem[off], mem[off + 1], mem[off + 2], mem[off + 3]])
-            }
-        })
+        Ok(self.read_at(space, off, width))
     }
 
     /// Writes the low bits of `value` at the given width.
@@ -180,12 +212,7 @@ impl Memory {
     /// Returns [`MemFault`] as for [`decode`](Self::decode).
     pub fn write(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), MemFault> {
         let (space, off) = self.decode(addr, width)?;
-        let mem = self.slice_mut(space);
-        match width {
-            MemWidth::Byte => mem[off] = value as u8,
-            MemWidth::Half => mem[off..off + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-            MemWidth::Word => mem[off..off + 4].copy_from_slice(&value.to_le_bytes()),
-        }
+        self.write_at(space, off, width, value);
         Ok(())
     }
 
@@ -230,11 +257,16 @@ impl Memory {
     #[must_use]
     pub fn bank_of(&self, addr: u32, n_banks: usize) -> Option<usize> {
         if (L1_BASE..L1_BASE + self.l1.len() as u32).contains(&addr) {
-            Some(((addr - L1_BASE) as usize >> 2) % n_banks)
+            Some(bank_at((addr - L1_BASE) as usize, n_banks))
         } else {
             None
         }
     }
+}
+
+/// The TCDM bank of L1 byte offset `off`, with word interleaving.
+pub(crate) fn bank_at(off: usize, n_banks: usize) -> usize {
+    (off >> 2) % n_banks
 }
 
 #[cfg(test)]
@@ -323,6 +355,20 @@ mod tests {
         assert_eq!(mem.bank_of(L1_BASE + 4, 16), Some(1));
         assert_eq!(mem.bank_of(L1_BASE + 64, 16), Some(0));
         assert_eq!(mem.bank_of(L2_BASE, 16), None);
+    }
+
+    #[test]
+    fn span_must_fit_one_space() {
+        let mem = Memory::new(64, 128);
+        let l1 = u64::from(L1_BASE);
+        let l2 = u64::from(L2_BASE);
+        assert_eq!(mem.span(l1 + 8, l1 + 63), Some((MemSpace::L1, 8)));
+        assert_eq!(mem.span(l1 + 8, l1 + 64), None, "one byte past L1");
+        assert_eq!(mem.span(l2, l2 + 127), Some((MemSpace::L2, 0)));
+        assert_eq!(mem.span(l1, l2 + 4), None, "spans the unmapped hole");
+        assert_eq!(mem.span(l2 + 128, l2 + 131), None);
+        assert_eq!(mem.span(l2 + 4, l2), None, "empty range");
+        assert_eq!(mem.span(0, 3), None);
     }
 
     #[test]
