@@ -98,12 +98,16 @@ impl Hv64 {
     /// (lossless; `to_binary(from_binary(x)) == x`).
     #[must_use]
     pub fn to_binary(&self) -> BinaryHv {
-        let mut w32 = Vec::with_capacity(self.n_words32);
-        for (i, &w) in self.words.iter().enumerate() {
-            w32.push(w as u32);
-            if 2 * i + 1 < self.n_words32 {
-                w32.push((w >> 32) as u32);
-            }
+        // Whole `u64` words unpack as (lo, hi) pairs into a pre-sized
+        // buffer; an odd width leaves one tail word holding only `lo`.
+        let mut w32 = vec![0u32; self.n_words32];
+        let mut pairs = w32.chunks_exact_mut(2);
+        for (pair, &w) in (&mut pairs).zip(self.words.iter()) {
+            pair[0] = w as u32;
+            pair[1] = (w >> 32) as u32;
+        }
+        if let [tail] = pairs.into_remainder() {
+            *tail = self.words[self.words.len() - 1] as u32;
         }
         BinaryHv::from_words(w32)
     }

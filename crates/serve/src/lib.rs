@@ -85,7 +85,9 @@ pub use net::{NetClient, NetError, NetServer};
 pub use stats::ServerStats;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -732,6 +734,18 @@ impl Ticket {
         }
     }
 
+    /// Redeems the ticket without blocking: `Ok` with the outcome once
+    /// the request is answered (or its reply channel closed, typed as in
+    /// [`wait`](Self::wait)), `Err(self)` while it is still pending —
+    /// the wire responder's "write what is ready before blocking" probe.
+    pub(crate) fn try_take(self) -> Result<Result<Verdict, ServeError>, Self> {
+        match self.reply.try_recv() {
+            Ok(result) => Ok(result),
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => Ok(Err(self.disconnect_error())),
+        }
+    }
+
     /// The typed verdict for a reply channel that closed with no
     /// answer: a crashed batcher versus a graceful shutdown race.
     fn disconnect_error(&self) -> ServeError {
@@ -836,11 +850,11 @@ fn batcher(
                         pending.push(p);
                         idle_rounds = 0;
                     }
-                    Ok(Request::Drain) | Err(std::sync::mpsc::TryRecvError::Disconnected) => {
+                    Ok(Request::Drain) | Err(TryRecvError::Disconnected) => {
                         draining = true;
                         break;
                     }
-                    Err(std::sync::mpsc::TryRecvError::Empty) => {
+                    Err(TryRecvError::Empty) => {
                         // The queue was empty at batch-open (nothing
                         // swept since the blocking recv) — a lone
                         // caller closes after this one sweep instead of
@@ -1091,5 +1105,46 @@ mod tests {
             Err(ServeError::ServerDied)
         ));
         drop(tx);
+    }
+
+    /// `try_take` never blocks: it returns the verdict once answered,
+    /// hands the ticket back while the request is pending (and that
+    /// ticket still redeems later), and types a closed reply channel
+    /// exactly as `wait` does.
+    #[test]
+    fn try_take_returns_answers_and_hands_back_pending_tickets() {
+        use pulp_hd_core::backend::{BinaryHv, VerdictSource};
+        let verdict = Verdict {
+            class: 2,
+            distances: vec![3, 1, 4],
+            query: BinaryHv::from_words(vec![0xfeed]),
+            cycles: None,
+            source: VerdictSource::Scan,
+        };
+
+        let (tx, rx) = sync_channel::<Result<Verdict, ServeError>>(1);
+        let ticket = Ticket {
+            reply: rx,
+            shared: shared(false),
+        };
+        let Err(ticket) = ticket.try_take() else {
+            panic!("a pending ticket must be handed back");
+        };
+        tx.send(Ok(verdict.clone())).unwrap();
+        assert_eq!(ticket.try_take().ok().unwrap().unwrap(), verdict);
+
+        let (_, rx) = sync_channel::<Result<Verdict, ServeError>>(1);
+        let ticket = Ticket {
+            reply: rx,
+            shared: shared(true),
+        };
+        assert!(matches!(ticket.try_take(), Ok(Err(ServeError::ServerDied))));
+
+        let (_, rx) = sync_channel::<Result<Verdict, ServeError>>(1);
+        let ticket = Ticket {
+            reply: rx,
+            shared: shared(false),
+        };
+        assert!(matches!(ticket.try_take(), Ok(Err(ServeError::Closed))));
     }
 }

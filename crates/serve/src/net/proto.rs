@@ -264,10 +264,6 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -278,6 +274,29 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
+}
+
+/// Appends `n` zero bytes and returns them for in-place filling: the
+/// bulk path for the `u16`/`u32` arrays, one length check per array
+/// instead of one per element.
+fn grow(out: &mut Vec<u8>, n: usize) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + n, 0);
+    &mut out[start..]
+}
+
+/// Appends a `u32` array, little-endian, in one pass.
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    let dst = grow(out, 4 * values.len());
+    for (d, v) in dst.chunks_exact_mut(4).zip(values) {
+        d.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The bytes [`put_str`] writes for `s`: its length field plus at most
+/// [`MAX_DETAIL`] bytes of text.
+fn str_len(s: &str) -> usize {
+    4 + s.len().min(MAX_DETAIL as usize)
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -294,22 +313,43 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&bytes[..end]);
 }
 
-fn put_window(out: &mut Vec<u8>, window: &[Vec<u16>]) {
+/// `(samples, channels)` as [`put_window`] encodes them.
+fn window_shape(window: &[Vec<u16>]) -> (usize, usize) {
     let channels = window.first().map_or(0, Vec::len);
     // A window of zero-width samples carries no data; normalize it to
     // the empty window so the encoder never emits the
     // `channels == 0 && samples > 0` shape the decoder rejects.
     let samples = if channels == 0 { 0 } else { window.len() };
+    (samples, channels)
+}
+
+fn window_len(window: &[Vec<u16>]) -> usize {
+    let (samples, channels) = window_shape(window);
+    8 + 2 * samples * channels
+}
+
+fn put_window(out: &mut Vec<u8>, window: &[Vec<u16>]) {
+    let (samples, channels) = window_shape(window);
     put_u32(out, samples as u32);
     put_u32(out, channels as u32);
-    for sample in &window[..samples] {
+    if samples == 0 {
+        return;
+    }
+    let dst = grow(out, 2 * samples * channels);
+    for (row, sample) in dst.chunks_exact_mut(2 * channels).zip(window) {
         // Ragged windows are invalid inputs; pad/truncate to the first
         // sample's width so the frame stays self-consistent and the
-        // backend's own validation reports the real problem.
-        for c in 0..channels {
-            put_u16(out, sample.get(c).copied().unwrap_or(0));
+        // backend's own validation reports the real problem. The
+        // padding is already zero.
+        for (d, v) in row.chunks_exact_mut(2).zip(sample) {
+            d.copy_from_slice(&v.to_le_bytes());
         }
     }
+}
+
+fn verdict_len(v: &Verdict) -> usize {
+    let cycles = if v.cycles.is_some() { 24 } else { 0 };
+    4 + 1 + 1 + cycles + 4 + 4 * v.distances.len() + 4 + 4 * v.query.words().len()
 }
 
 fn put_verdict(out: &mut Vec<u8>, v: &Verdict) {
@@ -329,20 +369,24 @@ fn put_verdict(out: &mut Vec<u8>, v: &Verdict) {
         }
     }
     put_u32(out, v.distances.len() as u32);
-    for &d in &v.distances {
-        put_u32(out, d);
-    }
+    put_u32s(out, &v.distances);
     let words = v.query.words();
     put_u32(out, words.len() as u32);
-    for &w in words {
-        put_u32(out, w);
-    }
+    put_u32s(out, words);
+}
+
+fn fault_len(fault: &WireFault) -> usize {
+    1 + str_len(&fault.detail)
 }
 
 fn put_fault(out: &mut Vec<u8>, fault: &WireFault) {
     out.push(fault.code as u8);
     put_str(out, &fault.detail);
 }
+
+/// The sixteen fixed scalars [`put_stats`] writes before its lists,
+/// plus the three cache counters after them.
+const STATS_FIXED_LEN: usize = 19 * 8;
 
 fn put_stats(out: &mut Vec<u8>, s: &ServerStats) {
     put_u64(out, s.completed);
@@ -366,101 +410,127 @@ fn put_stats(out: &mut Vec<u8>, s: &ServerStats) {
         put_u64(out, w);
     }
     put_u32(out, s.shard_healthy.len() as u32);
-    for &h in &s.shard_healthy {
-        out.push(u8::from(h));
-    }
+    out.extend(s.shard_healthy.iter().map(|&h| u8::from(h)));
     put_u64(out, s.cache_hits);
     put_u64(out, s.cache_misses);
     put_u64(out, s.cache_evictions);
+}
+
+/// Appends one frame to `out`: the header is reserved, the payload
+/// written straight after it by `body`, and the length field patched
+/// once the payload size is known.
+fn put_frame(out: &mut Vec<u8>, kind: u8, id: u64, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put_u32(out, MAGIC);
+    out.push(VERSION);
+    out.push(kind);
+    out.extend_from_slice(&[0, 0]);
+    put_u64(out, id);
+    put_u32(out, 0);
+    body(out);
+    let len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Wraps `payload` in a frame header, producing the full wire bytes.
 #[must_use]
 pub fn frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut out, MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    put_u16(&mut out, 0);
-    put_u64(&mut out, id);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
+    put_frame(&mut out, kind, id, |out| out.extend_from_slice(payload));
     out
 }
 
 /// Encodes one request as a complete frame.
 #[must_use]
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let kind = match req {
+    let payload_len = match req {
+        Request::Classify { window, .. } => 8 + window_len(window),
+        Request::ClassifyBatch { windows, .. } => {
+            12 + windows.iter().map(|w| window_len(w)).sum::<usize>()
+        }
+        Request::Stats | Request::Health => 0,
+    };
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+    match req {
         Request::Classify {
             deadline_us,
             window,
-        } => {
-            put_u64(&mut payload, *deadline_us);
-            put_window(&mut payload, window);
-            kind::CLASSIFY
-        }
+        } => put_frame(&mut out, kind::CLASSIFY, id, |out| {
+            put_u64(out, *deadline_us);
+            put_window(out, window);
+        }),
         Request::ClassifyBatch {
             deadline_us,
             windows,
-        } => {
-            put_u64(&mut payload, *deadline_us);
-            put_u32(&mut payload, windows.len() as u32);
+        } => put_frame(&mut out, kind::CLASSIFY_BATCH, id, |out| {
+            put_u64(out, *deadline_us);
+            put_u32(out, windows.len() as u32);
             for w in windows {
-                put_window(&mut payload, w);
+                put_window(out, w);
             }
-            kind::CLASSIFY_BATCH
+        }),
+        Request::Stats => put_frame(&mut out, kind::STATS, id, |_| {}),
+        Request::Health => put_frame(&mut out, kind::HEALTH, id, |_| {}),
+    }
+    out
+}
+
+/// The payload size [`encode_response_into`] writes for `resp` (an
+/// upper bound only when an error detail is cut on a char boundary).
+fn response_len(resp: &Response) -> usize {
+    match resp {
+        Response::Verdict(v) => verdict_len(v),
+        Response::VerdictBatch(items) => {
+            4 + items
+                .iter()
+                .map(|item| 1 + item.as_ref().map_or_else(fault_len, verdict_len))
+                .sum::<usize>()
         }
-        Request::Stats => kind::STATS,
-        Request::Health => kind::HEALTH,
-    };
-    frame(kind, id, &payload)
+        Response::Stats(s) => {
+            STATS_FIXED_LEN + 4 + 8 * s.shard_windows.len() + 4 + s.shard_healthy.len()
+        }
+        Response::Health(h) => 1 + 4 + h.shard_healthy.len(),
+        Response::Error(fault) => fault_len(fault),
+    }
 }
 
 /// Encodes one response as a complete frame.
 #[must_use]
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let kind = match resp {
-        Response::Verdict(v) => {
-            put_verdict(&mut payload, v);
-            kind::R_VERDICT
-        }
-        Response::VerdictBatch(items) => {
-            put_u32(&mut payload, items.len() as u32);
+    let mut out = Vec::new();
+    encode_response_into(&mut out, id, resp);
+    out
+}
+
+/// Appends one response frame to `out` — the responder's path, which
+/// encodes a run of replies into one buffer and writes it once.
+pub(crate) fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
+    out.reserve(HEADER_LEN + response_len(resp));
+    match resp {
+        Response::Verdict(v) => put_frame(out, kind::R_VERDICT, id, |out| put_verdict(out, v)),
+        Response::VerdictBatch(items) => put_frame(out, kind::R_VERDICT_BATCH, id, |out| {
+            put_u32(out, items.len() as u32);
             for item in items {
                 match item {
                     Ok(v) => {
-                        payload.push(1);
-                        put_verdict(&mut payload, v);
+                        out.push(1);
+                        put_verdict(out, v);
                     }
                     Err(fault) => {
-                        payload.push(0);
-                        put_fault(&mut payload, fault);
+                        out.push(0);
+                        put_fault(out, fault);
                     }
                 }
             }
-            kind::R_VERDICT_BATCH
-        }
-        Response::Stats(s) => {
-            put_stats(&mut payload, s);
-            kind::R_STATS
-        }
-        Response::Health(h) => {
-            payload.push(u8::from(h.serving));
-            put_u32(&mut payload, h.shard_healthy.len() as u32);
-            for &b in &h.shard_healthy {
-                payload.push(u8::from(b));
-            }
-            kind::R_HEALTH
-        }
-        Response::Error(fault) => {
-            put_fault(&mut payload, fault);
-            kind::R_ERROR
-        }
-    };
-    frame(kind, id, &payload)
+        }),
+        Response::Stats(s) => put_frame(out, kind::R_STATS, id, |out| put_stats(out, s)),
+        Response::Health(h) => put_frame(out, kind::R_HEALTH, id, |out| {
+            out.push(u8::from(h.serving));
+            put_u32(out, h.shard_healthy.len() as u32);
+            out.extend(h.shard_healthy.iter().map(|&b| u8::from(b)));
+        }),
+        Response::Error(fault) => put_frame(out, kind::R_ERROR, id, |out| put_fault(out, fault)),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +592,19 @@ impl<'a> Cur<'a> {
 
     fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads `n` little-endian `u32`s with one bounds check for the
+    /// whole array.
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
+        let need = n
+            .checked_mul(4)
+            .ok_or(WireError::Malformed("array size overflow"))?;
+        Ok(self
+            .take(need)?
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     /// Reads a list length and checks it against both its cap and the
@@ -621,15 +704,20 @@ fn take_window(cur: &mut Cur<'_>) -> Result<Window, WireError> {
             have: cur.remaining(),
         });
     }
-    let mut window = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut sample = Vec::with_capacity(channels);
-        for _ in 0..channels {
-            sample.push(cur.u16()?);
-        }
-        window.push(sample);
+    if samples == 0 {
+        return Ok(Vec::new());
     }
-    Ok(window)
+    // `channels > 0` here (the zero-channel rule above), so the row
+    // chunks are non-empty.
+    Ok(cur
+        .take(need)?
+        .chunks_exact(2 * channels)
+        .map(|row| {
+            row.chunks_exact(2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]))
+                .collect()
+        })
+        .collect())
 }
 
 fn take_fault(cur: &mut Cur<'_>) -> Result<WireFault, WireError> {
@@ -659,20 +747,14 @@ fn take_verdict(cur: &mut Cur<'_>) -> Result<Verdict, WireError> {
         _ => return Err(WireError::Malformed("bad cycles flag")),
     };
     let n = cur.len(MAX_VEC, 4, "distance count over cap")?;
-    let mut distances = Vec::with_capacity(n);
-    for _ in 0..n {
-        distances.push(cur.u32()?);
-    }
+    let distances = cur.u32s(n)?;
     let n = cur.len(MAX_VEC, 4, "query word count over cap")?;
     if n == 0 {
         // `BinaryHv` requires at least one word; a zero here is a
         // corrupt frame, not a verdict.
         return Err(WireError::Malformed("empty query hypervector"));
     }
-    let mut words = Vec::with_capacity(n);
-    for _ in 0..n {
-        words.push(cur.u32()?);
-    }
+    let words = cur.u32s(n)?;
     Ok(Verdict {
         class,
         distances,

@@ -1,13 +1,32 @@
 //! The listener side of the wire front-end: accept loops, and one
 //! reader + one responder thread per connection feeding the in-process
 //! [`Server`](crate::Server)'s micro-batcher.
+//!
+//! Bytes move in bursts on both halves of a connection:
+//!
+//! * **Reader.** Each connection owns a read buffer (`READ_BUF`
+//!   bytes at rest). One `read` takes in every frame the peer has
+//!   pipelined so far, and frames are parsed out of the buffer until it
+//!   runs dry. A frame's header is decoded — and `max_frame` enforced —
+//!   before the buffer may grow to hold it. Between frames (nothing
+//!   buffered) the reader waits without limit but honours draining;
+//!   with a partial frame buffered, the slow-loris stall clock runs.
+//! * **Responder.** Replies come off the reader's channel in request
+//!   order and are encoded straight into one output buffer, which is
+//!   written with one `write_all` per run of ready replies (or once it
+//!   holds `WRITE_BUF` bytes).
+//! * **Flush before block.** The responder writes what it has buffered
+//!   before it blocks on anything — the channel when no reply is
+//!   queued, or a ticket the batcher has not answered yet — so a ready
+//!   reply never waits behind a pending one, and a lone request is
+//!   written as soon as its verdict exists.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -16,7 +35,7 @@ use pulp_hd_core::backend::Verdict;
 
 use crate::{ServeError, Server, ServerStats, Ticket, TrySubmitError};
 
-use super::proto::{self, ErrorCode, FrameHeader, HealthReport, WireError, WireFault};
+use super::proto::{self, ErrorCode, FrameHeader, HealthReport, Response, WireError, WireFault};
 use super::transport::WireStream;
 use super::{NetConfig, NetError};
 
@@ -392,7 +411,7 @@ fn refuse(stream: &dyn WireStream, draining: bool) {
     } else {
         WireFault::new(ErrorCode::Overloaded, "connection limit reached")
     };
-    let frame = proto::encode_response(0, &proto::Response::Error(fault));
+    let frame = proto::encode_response(0, &Response::Error(fault));
     if let Ok(mut w) = stream.try_clone_stream() {
         let _ = w.write_all(&frame);
         let _ = w.flush();
@@ -415,8 +434,9 @@ impl Drop for ActiveGuard<'_> {
 
 /// What the reader hands the responder, in request order.
 enum Reply {
-    /// A pre-encoded frame (stats, health, immediate errors).
-    Frame(Vec<u8>),
+    /// A reply known when the request was read (stats, health,
+    /// immediate errors).
+    Ready(u64, Response),
     /// A submitted classify: resolve the ticket, then encode.
     Wait {
         id: u64,
@@ -429,6 +449,11 @@ enum Reply {
         items: Vec<Result<Ticket, WireFault>>,
         deadline: Option<Instant>,
     },
+}
+
+/// A typed error reply.
+fn fault_reply(id: u64, code: ErrorCode, detail: impl Into<String>) -> Reply {
+    Reply::Ready(id, Response::Error(WireFault::new(code, detail)))
 }
 
 fn connection(
@@ -461,7 +486,7 @@ fn connection(
         return;
     }
     // Bounded queue: `Wait` entries are capped by the in-flight window,
-    // `Frame` entries by the reader blocking on `send` once the
+    // `Ready` entries by the reader blocking on `send` once the
     // responder falls behind — which stops the reader reading, which
     // backpressures the peer through the socket.
     let (tx, rx) = sync_channel(config.inflight_window + 8);
@@ -473,7 +498,7 @@ fn connection(
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name("pulp-hd-net-responder".into())
-            .spawn(move || responder_loop(writer, &rx, &inflight, &conn_dead, &shared))
+            .spawn(move || Responder::new(writer, &inflight, &conn_dead, &shared).run(&rx))
     };
     let Ok(responder) = responder else {
         stream.shutdown_stream();
@@ -494,9 +519,21 @@ fn connection(
     stream.shutdown_stream();
 }
 
+/// Initial and resting size of a connection's read buffer: one `read`
+/// takes in hundreds of pipelined classify frames. A larger frame grows
+/// it (only after its header passed the `max_frame` check), and it
+/// shrinks back once that frame is consumed.
+const READ_BUF: usize = 64 * 1024;
+
+/// The responder writes once this many reply bytes are buffered, even
+/// if more replies are ready — the bound on its output buffer.
+const WRITE_BUF: usize = 64 * 1024;
+
 /// One complete frame read, or the reason there is none.
-enum ReadOutcome {
-    Frame(FrameHeader, Vec<u8>),
+#[derive(Debug)]
+enum ReadOutcome<'a> {
+    /// A frame's header and its payload, borrowed from the read buffer.
+    Frame(FrameHeader, &'a [u8]),
     /// Clean EOF between frames.
     Eof,
     /// The server started draining while this connection was idle.
@@ -509,92 +546,112 @@ enum ReadOutcome {
     Dead,
 }
 
-fn read_frame(
-    stream: &mut dyn WireStream,
-    config: &NetConfig,
-    shared: &NetShared,
-    conn_dead: &AtomicBool,
-) -> ReadOutcome {
-    let mut header_buf = [0u8; proto::HEADER_LEN];
-    match read_exact_patient(stream, &mut header_buf, true, config, shared, conn_dead) {
-        ReadFill::Done => {}
-        ReadFill::Eof => return ReadOutcome::Eof,
-        ReadFill::Draining => return ReadOutcome::Draining,
-        ReadFill::Stalled => return ReadOutcome::Stalled,
-        ReadFill::Dead => return ReadOutcome::Dead,
-    }
-    let header = match proto::decode_header(&header_buf, config.max_frame) {
-        Ok(h) => h,
-        Err(e) => return ReadOutcome::Malformed(e),
-    };
-    let mut payload = vec![0u8; header.len as usize];
-    match read_exact_patient(stream, &mut payload, false, config, shared, conn_dead) {
-        ReadFill::Done => ReadOutcome::Frame(header, payload),
-        ReadFill::Eof | ReadFill::Dead => ReadOutcome::Dead,
-        ReadFill::Draining => ReadOutcome::Draining,
-        ReadFill::Stalled => ReadOutcome::Stalled,
-    }
+/// A connection's read side: one buffer that each `read` fills with
+/// everything the peer has sent so far, and the frames parsed out of
+/// it. Frames already buffered are handed out without touching the
+/// socket.
+struct FrameReader {
+    buf: Vec<u8>,
+    /// First byte not yet handed out.
+    start: usize,
+    /// End of the bytes read.
+    end: usize,
 }
 
-enum ReadFill {
-    Done,
-    Eof,
-    Draining,
-    Stalled,
-    Dead,
-}
-
-/// Fills `buf` from the stream in poll-tick slices. While no byte has
-/// arrived and `idle_ok` holds (between frames), waiting is unlimited
-/// but the draining flag is honored; once mid-structure, the stall
-/// clock runs: more than `config.read_timeout` without progress is a
-/// slow-loris kill.
-fn read_exact_patient(
-    stream: &mut dyn WireStream,
-    buf: &mut [u8],
-    idle_ok: bool,
-    config: &NetConfig,
-    shared: &NetShared,
-    conn_dead: &AtomicBool,
-) -> ReadFill {
-    if buf.is_empty() {
-        return ReadFill::Done;
-    }
-    let mut filled = 0;
-    let mut last_progress = Instant::now();
-    loop {
-        if conn_dead.load(Ordering::SeqCst) {
-            return ReadFill::Dead;
+impl FrameReader {
+    fn new() -> Self {
+        Self {
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
         }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadFill::Eof
-                } else {
-                    ReadFill::Dead
-                };
-            }
-            Ok(n) => {
-                filled += n;
-                last_progress = Instant::now();
-                if filled == buf.len() {
-                    return ReadFill::Done;
+    }
+
+    /// The next frame. While no byte of it has arrived, waiting is
+    /// unlimited but the draining flag is honored; once part of a frame
+    /// is buffered, the stall clock runs: more than
+    /// `config.read_timeout` without progress is a slow-loris kill. The
+    /// clock starts afresh on each call, so time the caller spends
+    /// between frames (blocked on backpressure) never counts as the
+    /// peer's stall.
+    fn next_frame(
+        &mut self,
+        stream: &mut dyn WireStream,
+        config: &NetConfig,
+        shared: &NetShared,
+        conn_dead: &AtomicBool,
+    ) -> ReadOutcome<'_> {
+        let mut last_progress = Instant::now();
+        loop {
+            let buffered = self.end - self.start;
+            if buffered >= proto::HEADER_LEN {
+                let header =
+                    match proto::decode_header(&self.buf[self.start..self.end], config.max_frame) {
+                        Ok(h) => h,
+                        Err(e) => return ReadOutcome::Malformed(e),
+                    };
+                let total = proto::HEADER_LEN + header.len as usize;
+                if buffered >= total {
+                    let at = self.start;
+                    self.start += total;
+                    return ReadOutcome::Frame(
+                        header,
+                        &self.buf[at + proto::HEADER_LEN..at + total],
+                    );
                 }
+                self.make_room(total);
+            } else {
+                self.make_room(proto::HEADER_LEN);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 && idle_ok {
-                    if shared.draining.load(Ordering::SeqCst) {
-                        return ReadFill::Draining;
+            if conn_dead.load(Ordering::SeqCst) {
+                return ReadOutcome::Dead;
+            }
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    return if self.start == self.end {
+                        ReadOutcome::Eof
+                    } else {
+                        ReadOutcome::Dead
+                    };
+                }
+                Ok(n) => {
+                    self.end += n;
+                    last_progress = Instant::now();
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    if self.start == self.end {
+                        if shared.draining.load(Ordering::SeqCst) {
+                            return ReadOutcome::Draining;
+                        }
+                    } else if last_progress.elapsed() > config.read_timeout {
+                        return ReadOutcome::Stalled;
                     }
-                } else if last_progress.elapsed() > config.read_timeout {
-                    return ReadFill::Stalled;
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadOutcome::Dead,
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadFill::Dead,
+        }
+    }
+
+    /// Makes room for a `need`-byte frame from `start`, leaving spare
+    /// space to read into: the unparsed bytes move to the front when the
+    /// frame would not fit behind them (or when there are none), and the
+    /// buffer grows only to `need`, which the caller has bounded by the
+    /// header check.
+    fn make_room(&mut self, need: usize) {
+        if self.start == self.end || self.buf.len() - self.start < need {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        } else if self.end == 0 && self.buf.len() > READ_BUF {
+            self.buf.truncate(READ_BUF);
+            self.buf.shrink_to_fit();
         }
     }
 }
@@ -623,35 +680,27 @@ fn reader_loop(
     let overload = |id: u64, detail: &str| {
         // ORDERING: Relaxed telemetry counter (see NetShared).
         shared.overloaded.fetch_add(1, Ordering::Relaxed);
-        Reply::Frame(proto::encode_response(
-            id,
-            &proto::Response::Error(WireFault::new(ErrorCode::Overloaded, detail)),
-        ))
+        fault_reply(id, ErrorCode::Overloaded, detail)
     };
+    let mut frames = FrameReader::new();
     loop {
-        let (header, payload) = match read_frame(stream, config, shared, conn_dead) {
-            ReadOutcome::Frame(header, payload) => (header, payload),
+        let (header, request) = match frames.next_frame(stream, config, shared, conn_dead) {
+            ReadOutcome::Frame(header, payload) => {
+                (header, proto::decode_request(&header, payload))
+            }
             ReadOutcome::Eof | ReadOutcome::Dead => return,
             ReadOutcome::Draining => {
-                let _ = tx.send(Reply::Frame(proto::encode_response(
-                    0,
-                    &proto::Response::Error(WireFault::new(
-                        ErrorCode::Closed,
-                        "server is draining",
-                    )),
-                )));
+                let _ = tx.send(fault_reply(0, ErrorCode::Closed, "server is draining"));
                 return;
             }
             ReadOutcome::Stalled => {
                 // ORDERING: Relaxed telemetry counter.
                 shared.stalled.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Reply::Frame(proto::encode_response(
+                let _ = tx.send(fault_reply(
                     0,
-                    &proto::Response::Error(WireFault::new(
-                        ErrorCode::Stalled,
-                        "stalled mid-frame past the read timeout",
-                    )),
-                )));
+                    ErrorCode::Stalled,
+                    "stalled mid-frame past the read timeout",
+                ));
                 return;
             }
             ReadOutcome::Malformed(e) => {
@@ -662,16 +711,13 @@ fn reader_loop(
                 } else {
                     ErrorCode::Malformed
                 };
-                let _ = tx.send(Reply::Frame(proto::encode_response(
-                    0,
-                    &proto::Response::Error(WireFault::new(code, e.to_string())),
-                )));
+                let _ = tx.send(fault_reply(0, code, e.to_string()));
                 return;
             }
         };
         // ORDERING: Relaxed telemetry counter.
         shared.frames.fetch_add(1, Ordering::Relaxed);
-        let request = match proto::decode_request(&header, &payload) {
+        let request = match request {
             Ok(request) => request,
             Err(e) => {
                 // The frame boundary was intact, but the payload is
@@ -680,10 +726,7 @@ fn reader_loop(
                 // trusted to stay in sync).
                 // ORDERING: Relaxed telemetry counter.
                 shared.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Reply::Frame(proto::encode_response(
-                    header.id,
-                    &proto::Response::Error(WireFault::new(ErrorCode::Malformed, e.to_string())),
-                )));
+                let _ = tx.send(fault_reply(header.id, ErrorCode::Malformed, e.to_string()));
                 return;
             }
         };
@@ -712,13 +755,11 @@ fn reader_loop(
                         }
                         Err(TrySubmitError::Overloaded) => overload(header.id, "server queue full"),
                         Err(TrySubmitError::Closed) => {
-                            let _ = tx.send(Reply::Frame(proto::encode_response(
+                            let _ = tx.send(fault_reply(
                                 header.id,
-                                &proto::Response::Error(WireFault::new(
-                                    ErrorCode::Closed,
-                                    "server is shut down",
-                                )),
-                            )));
+                                ErrorCode::Closed,
+                                "server is shut down",
+                            ));
                             return;
                         }
                     }
@@ -769,19 +810,13 @@ fn reader_loop(
                     }
                 }
             }
-            proto::Request::Stats => Reply::Frame(proto::encode_response(
-                header.id,
-                &proto::Response::Stats(server.stats()),
-            )),
+            proto::Request::Stats => Reply::Ready(header.id, Response::Stats(server.stats())),
             proto::Request::Health => {
                 let report = HealthReport {
                     serving: !shared.draining.load(Ordering::SeqCst),
                     shard_healthy: server.stats().shard_healthy,
                 };
-                Reply::Frame(proto::encode_response(
-                    header.id,
-                    &proto::Response::Health(report),
-                ))
+                Reply::Ready(header.id, Response::Health(report))
             }
         };
         if tx.send(reply).is_err() {
@@ -834,71 +869,602 @@ fn fault_of(e: &ServeError) -> WireFault {
     }
 }
 
-fn responder_loop(
-    mut writer: Box<dyn WireStream>,
-    rx: &Receiver<Reply>,
-    inflight: &AtomicUsize,
-    conn_dead: &AtomicBool,
-    shared: &NetShared,
-) {
-    // After a write failure the responder keeps draining (and resolving
-    // tickets, keeping `inflight` accurate) but stops writing.
-    let mut write_ok = true;
-    for reply in rx.iter() {
-        let frame = match reply {
-            Reply::Frame(frame) => frame,
-            Reply::Wait {
-                id,
-                ticket,
-                deadline,
-            } => {
-                let result = wait_result(ticket, deadline);
-                // ORDERING: SeqCst — the release half of the `inflight`
-                // admission protocol (reader adds, responder subs).
-                inflight.fetch_sub(1, Ordering::SeqCst);
-                match result {
-                    Ok(verdict) => proto::encode_response(id, &proto::Response::Verdict(verdict)),
-                    Err(fault) => proto::encode_response(id, &proto::Response::Error(fault)),
+/// A connection's write side. Replies are encoded straight into one
+/// output buffer, and each run of ready replies goes out in one write.
+/// The buffer is flushed before blocking on anything — the next reply,
+/// or a ticket not answered yet — so a reply that is ready is never
+/// held behind one that is not, and a lone request is written as soon
+/// as it is answered.
+struct Responder<'a> {
+    writer: Box<dyn WireStream>,
+    out: Vec<u8>,
+    /// Frames encoded into `out` since the last write.
+    frames: u64,
+    /// Cleared by the first failed write: later replies are still
+    /// resolved (keeping `inflight` accurate) but no longer written.
+    write_ok: bool,
+    inflight: &'a AtomicUsize,
+    conn_dead: &'a AtomicBool,
+    shared: &'a NetShared,
+}
+
+impl<'a> Responder<'a> {
+    fn new(
+        writer: Box<dyn WireStream>,
+        inflight: &'a AtomicUsize,
+        conn_dead: &'a AtomicBool,
+        shared: &'a NetShared,
+    ) -> Self {
+        Self {
+            writer,
+            out: Vec::with_capacity(WRITE_BUF),
+            frames: 0,
+            write_ok: true,
+            inflight,
+            conn_dead,
+            shared,
+        }
+    }
+
+    fn run(mut self, rx: &Receiver<Reply>) {
+        loop {
+            let reply = match rx.try_recv() {
+                Ok(reply) => reply,
+                Err(TryRecvError::Empty) => {
+                    self.flush();
+                    match rx.recv() {
+                        Ok(reply) => reply,
+                        Err(_) => break,
+                    }
+                }
+                Err(TryRecvError::Disconnected) => break,
+            };
+            match reply {
+                Reply::Ready(id, response) => self.push(id, &response),
+                Reply::Wait {
+                    id,
+                    ticket,
+                    deadline,
+                } => {
+                    let response = match self.resolve(ticket, deadline) {
+                        Ok(verdict) => Response::Verdict(verdict),
+                        Err(fault) => Response::Error(fault),
+                    };
+                    self.push(id, &response);
+                }
+                Reply::WaitBatch {
+                    id,
+                    items,
+                    deadline,
+                } => {
+                    let results = items
+                        .into_iter()
+                        .map(|item| item.and_then(|ticket| self.resolve(ticket, deadline)))
+                        .collect();
+                    self.push(id, &Response::VerdictBatch(results));
                 }
             }
-            Reply::WaitBatch {
-                id,
-                items,
-                deadline,
-            } => {
-                let results: Vec<Result<Verdict, WireFault>> = items
-                    .into_iter()
-                    .map(|item| match item {
-                        Ok(ticket) => {
-                            let result = wait_result(ticket, deadline);
-                            // ORDERING: SeqCst `inflight` protocol.
-                            inflight.fetch_sub(1, Ordering::SeqCst);
-                            result
-                        }
-                        Err(fault) => Err(fault),
-                    })
-                    .collect();
-                proto::encode_response(id, &proto::Response::VerdictBatch(results))
+        }
+        self.flush();
+        self.writer.shutdown_stream();
+    }
+
+    /// Resolves one accepted ticket, writing what is buffered first if
+    /// the ticket is not answered yet.
+    fn resolve(&mut self, ticket: Ticket, deadline: Option<Instant>) -> Result<Verdict, WireFault> {
+        let result = match ticket.try_take() {
+            Ok(outcome) => outcome.map_err(|e| fault_of(&e)),
+            Err(pending) => {
+                self.flush();
+                wait_result(pending, deadline)
             }
         };
-        if write_ok {
-            write_ok = writer
-                .write_all(&frame)
-                .and_then(|()| writer.flush())
-                .is_ok();
-            if write_ok {
-                // ORDERING: Relaxed telemetry counter.
-                shared.responses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // Wake the reader (it is blocked in poll-tick reads) so
-                // the connection winds down instead of reading requests
-                // nobody can answer.
-                // ORDERING: SeqCst kill flag — must become visible to
-                // the reader's SeqCst poll before it commits to another
-                // blocking read tick.
-                conn_dead.store(true, Ordering::SeqCst);
+        // ORDERING: SeqCst — the release half of the `inflight`
+        // admission protocol (reader adds, responder subs).
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        result
+    }
+
+    fn push(&mut self, id: u64, response: &Response) {
+        if self.write_ok {
+            proto::encode_response_into(&mut self.out, id, response);
+            self.frames += 1;
+            if self.out.len() >= WRITE_BUF {
+                self.flush();
             }
         }
     }
-    writer.shutdown_stream();
+
+    /// Writes the buffered frames in one `write_all`.
+    fn flush(&mut self) {
+        if self.out.is_empty() {
+            return;
+        }
+        self.write_ok = self
+            .writer
+            .write_all(&self.out)
+            .and_then(|()| self.writer.flush())
+            .is_ok();
+        if self.write_ok {
+            // ORDERING: Relaxed telemetry counter.
+            self.shared
+                .responses
+                .fetch_add(self.frames, Ordering::Relaxed);
+        } else {
+            // Wake the reader (it is blocked in poll-tick reads) so the
+            // connection winds down instead of reading requests nobody
+            // can answer.
+            // ORDERING: SeqCst kill flag — must become visible to the
+            // reader's SeqCst poll before it commits to another
+            // blocking read tick.
+            self.conn_dead.store(true, Ordering::SeqCst);
+        }
+        self.out.clear();
+        self.frames = 0;
+        if self.out.capacity() > 4 * WRITE_BUF {
+            // A large batch reply grew the buffer: give the memory back.
+            self.out = Vec::with_capacity(WRITE_BUF);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The batched wire path against scripted transports: read
+    //! boundaries never change what is parsed, every reader defence
+    //! still fires, and the responder coalesces ready replies without
+    //! ever holding one behind a pending ticket.
+
+    use std::collections::VecDeque;
+    use std::io::{self, Read};
+    use std::sync::Mutex;
+
+    use hdc::rng::Xoshiro256PlusPlus;
+    use pulp_hd_core::backend::{
+        ExecutionBackend, FastBackend, FaultBackend, FaultKind, FaultPlan, HdModel,
+    };
+    use pulp_hd_core::layout::AccelParams;
+
+    use super::*;
+    use crate::ServeConfig;
+
+    /// A scripted transport: each `read` delivers (up to) the next
+    /// chunk; with the script spent it reads as a quiet socket
+    /// (`WouldBlock` after a short sleep) or, once `eof` is set, as
+    /// end-of-stream. Every `write` call is logged as one entry.
+    struct Script {
+        reads: VecDeque<Vec<u8>>,
+        eof: bool,
+        read_calls: usize,
+        writes: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Script {
+        fn reading(chunks: Vec<Vec<u8>>, eof: bool) -> Self {
+            Self {
+                reads: chunks.into(),
+                eof,
+                read_calls: 0,
+                writes: Arc::default(),
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.read_calls += 1;
+            match self.reads.pop_front() {
+                Some(mut chunk) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        chunk.drain(..n);
+                        self.reads.push_front(chunk);
+                    }
+                    Ok(n)
+                }
+                None if self.eof => Ok(0),
+                None => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    Err(io::ErrorKind::WouldBlock.into())
+                }
+            }
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl WireStream for Script {
+        fn try_clone_stream(&self) -> io::Result<Box<dyn WireStream>> {
+            Err(io::ErrorKind::Unsupported.into())
+        }
+
+        fn set_stream_read_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn set_stream_write_timeout(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn shutdown_stream(&self) {}
+    }
+
+    fn window(samples: usize, channels: usize, seed: u64) -> Vec<Vec<u16>> {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        (0..samples)
+            .map(|_| {
+                (0..channels)
+                    .map(|_| (rng.next_u32() & 0xffff) as u16)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// 64 request frames of every kind and a spread of sizes.
+    fn sample_frames() -> Vec<Vec<u8>> {
+        (1..=64u64)
+            .map(|id| {
+                let request = match id % 5 {
+                    0 => proto::Request::Stats,
+                    1 => proto::Request::Health,
+                    2 => proto::Request::ClassifyBatch {
+                        deadline_us: id,
+                        windows: vec![window(3, 4, id), Vec::new(), window(1, 2, id + 1)],
+                    },
+                    _ => proto::Request::Classify {
+                        deadline_us: 0,
+                        window: window(id as usize % 30, 4, id),
+                    },
+                };
+                proto::encode_request(id, &request)
+            })
+            .collect()
+    }
+
+    fn expected(frames: &[Vec<u8>]) -> Vec<(FrameHeader, Vec<u8>)> {
+        frames
+            .iter()
+            .map(|f| {
+                let header = proto::decode_header(f, proto::DEFAULT_MAX_FRAME).unwrap();
+                (header, f[proto::HEADER_LEN..].to_vec())
+            })
+            .collect()
+    }
+
+    /// Reads frames until end-of-stream; returns them and the number of
+    /// `read` calls it took.
+    fn read_all(chunks: Vec<Vec<u8>>) -> (Vec<(FrameHeader, Vec<u8>)>, usize) {
+        let mut stream = Script::reading(chunks, true);
+        let mut reader = FrameReader::new();
+        let (config, shared, dead) = (
+            NetConfig::default(),
+            NetShared::default(),
+            AtomicBool::new(false),
+        );
+        let mut frames = Vec::new();
+        loop {
+            match reader.next_frame(&mut stream, &config, &shared, &dead) {
+                ReadOutcome::Frame(header, payload) => frames.push((header, payload.to_vec())),
+                ReadOutcome::Eof => break,
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(reader.buf.len(), READ_BUF, "buffer must return to rest");
+        (frames, stream.read_calls)
+    }
+
+    #[test]
+    fn read_boundaries_never_change_the_parsed_frames() {
+        let frames = sample_frames();
+        let want = expected(&frames);
+        let bytes = frames.concat();
+        assert!(bytes.len() < READ_BUF, "the burst must fit one read");
+
+        // All 64 frames in one read (plus the read that sees EOF).
+        let (got, reads) = read_all(vec![bytes.clone()]);
+        assert_eq!(got, want);
+        assert_eq!(reads, 2, "one read per burst");
+
+        // One byte per read.
+        let (got, _) = read_all(bytes.iter().map(|&b| vec![b]).collect());
+        assert_eq!(got, want);
+
+        // Chunks straddling header and payload boundaries everywhere.
+        let mut chunks = Vec::new();
+        let mut rest = bytes.as_slice();
+        for size in [1usize, 7, 19, 20, 21, 333, 4096].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at((*size).min(rest.len()));
+            chunks.push(chunk.to_vec());
+            rest = tail;
+        }
+        let (got, _) = read_all(chunks);
+        assert_eq!(got, want);
+    }
+
+    /// A frame larger than the resting buffer grows it to exactly what
+    /// the admitted header declares, and the buffer shrinks back once
+    /// that frame is consumed.
+    #[test]
+    fn large_frames_grow_the_buffer_only_while_they_are_read() {
+        let big = proto::encode_request(
+            1,
+            &proto::Request::Classify {
+                deadline_us: 0,
+                window: window(10_000, 4, 1),
+            },
+        );
+        assert!(big.len() > READ_BUF);
+        let small = proto::encode_request(2, &proto::Request::Health);
+        let frames = vec![big, small];
+        let chunks = frames.concat().chunks(5_000).map(<[u8]>::to_vec).collect();
+        let (got, _) = read_all(chunks);
+        assert_eq!(got, expected(&frames));
+    }
+
+    #[test]
+    fn oversized_header_is_rejected_before_the_buffer_grows() {
+        let mut frame = proto::encode_request(9, &proto::Request::Stats);
+        frame[16..20].copy_from_slice(&10_000_000u32.to_le_bytes());
+        let mut stream = Script::reading(vec![frame], false);
+        let mut reader = FrameReader::new();
+        let config = NetConfig {
+            max_frame: 1024,
+            ..NetConfig::default()
+        };
+        let outcome = reader.next_frame(
+            &mut stream,
+            &config,
+            &NetShared::default(),
+            &AtomicBool::new(false),
+        );
+        assert!(matches!(
+            outcome,
+            ReadOutcome::Malformed(WireError::TooLarge {
+                len: 10_000_000,
+                max: 1024
+            })
+        ));
+        assert_eq!(reader.buf.len(), READ_BUF);
+    }
+
+    /// A partial frame trips the stall clock after `read_timeout` —
+    /// even while draining, which is honoured only between frames.
+    #[test]
+    fn partial_frame_stalls_after_the_read_timeout() {
+        let frame = proto::encode_request(3, &proto::Request::Health);
+        for partial in [&frame[..7], &frame[..proto::HEADER_LEN - 1]] {
+            let mut stream = Script::reading(vec![partial.to_vec()], false);
+            let config = NetConfig {
+                read_timeout: Duration::from_millis(30),
+                ..NetConfig::default()
+            };
+            let shared = NetShared::default();
+            shared.draining.store(true, Ordering::SeqCst);
+            let started = Instant::now();
+            let mut reader = FrameReader::new();
+            let outcome = reader.next_frame(&mut stream, &config, &shared, &AtomicBool::new(false));
+            assert!(matches!(outcome, ReadOutcome::Stalled), "{outcome:?}");
+            assert!(started.elapsed() >= config.read_timeout);
+        }
+        // A whole header with part of its payload stalls the same way.
+        let frame = proto::encode_request(
+            4,
+            &proto::Request::Classify {
+                deadline_us: 0,
+                window: window(5, 4, 4),
+            },
+        );
+        let mut stream = Script::reading(vec![frame[..proto::HEADER_LEN + 3].to_vec()], false);
+        let config = NetConfig {
+            read_timeout: Duration::from_millis(30),
+            ..NetConfig::default()
+        };
+        let mut reader = FrameReader::new();
+        let outcome = reader.next_frame(
+            &mut stream,
+            &config,
+            &NetShared::default(),
+            &AtomicBool::new(false),
+        );
+        assert!(matches!(outcome, ReadOutcome::Stalled), "{outcome:?}");
+    }
+
+    /// Buffered frames are still handed out once draining starts; the
+    /// go-away comes when the connection is idle.
+    #[test]
+    fn idle_connection_sees_draining_and_a_dead_one_stops() {
+        let frame = proto::encode_request(5, &proto::Request::Stats);
+        let mut stream = Script::reading(vec![frame], false);
+        let (config, shared, dead) = (
+            NetConfig::default(),
+            NetShared::default(),
+            AtomicBool::new(false),
+        );
+        shared.draining.store(true, Ordering::SeqCst);
+        let mut reader = FrameReader::new();
+        assert!(matches!(
+            reader.next_frame(&mut stream, &config, &shared, &dead),
+            ReadOutcome::Frame(FrameHeader { id: 5, .. }, _)
+        ));
+        assert!(matches!(
+            reader.next_frame(&mut stream, &config, &shared, &dead),
+            ReadOutcome::Draining
+        ));
+
+        let mut stream = Script::reading(Vec::new(), false);
+        dead.store(true, Ordering::SeqCst);
+        assert!(matches!(
+            FrameReader::new().next_frame(&mut stream, &config, &NetShared::default(), &dead),
+            ReadOutcome::Dead
+        ));
+    }
+
+    fn params() -> AccelParams {
+        AccelParams {
+            n_words: 16,
+            ngram: 2,
+            ..AccelParams::emg_default()
+        }
+    }
+
+    /// Splits a byte stream into decoded frames.
+    fn replies(bytes: &[u8]) -> Vec<(u64, Response)> {
+        let mut out = Vec::new();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let header = proto::decode_header(rest, proto::DEFAULT_MAX_FRAME).unwrap();
+            let end = proto::HEADER_LEN + header.len as usize;
+            let response = proto::decode_response(&header, &rest[proto::HEADER_LEN..end]).unwrap();
+            out.push((header.id, response));
+            rest = &rest[end..];
+        }
+        out
+    }
+
+    fn wait(id: u64, ticket: Ticket) -> Reply {
+        Reply::Wait {
+            id,
+            ticket,
+            deadline: None,
+        }
+    }
+
+    /// N pipelined requests whose verdicts are all ready come back as N
+    /// intact frames, in id order, from fewer than N writes.
+    #[test]
+    #[cfg_attr(miri, ignore = "OS threads")]
+    fn ready_replies_are_coalesced_into_fewer_writes() {
+        const N: usize = 32;
+        let params = params();
+        let model = HdModel::random(&params, 0x5E1);
+        let backend = FastBackend::try_with_threads(1).unwrap();
+        let server = Server::spawn(&backend, &model, ServeConfig::default()).unwrap();
+        let client = server.client();
+        let windows: Vec<_> = (0..N as u64)
+            .map(|i| window(4, params.channels, i))
+            .collect();
+        let (tx, rx) = sync_channel(N + 1);
+        for (i, w) in windows.iter().enumerate() {
+            let ticket = client.try_submit(w.clone()).unwrap();
+            tx.send(wait(i as u64 + 1, ticket)).unwrap();
+        }
+        tx.send(Reply::Ready(
+            N as u64 + 1,
+            Response::Health(HealthReport {
+                serving: true,
+                shard_healthy: Vec::new(),
+            }),
+        ))
+        .unwrap();
+        drop(tx);
+        let started = Instant::now();
+        while server.stats().completed < N as u64 {
+            assert!(started.elapsed() < Duration::from_secs(10), "server stuck");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let stream = Script::reading(Vec::new(), true);
+        let writes = Arc::clone(&stream.writes);
+        let (inflight, dead, shared) = (
+            AtomicUsize::new(N),
+            AtomicBool::new(false),
+            NetShared::default(),
+        );
+        Responder::new(Box::new(stream), &inflight, &dead, &shared).run(&rx);
+
+        let writes = writes.lock().unwrap();
+        assert!(writes.len() < N, "{} writes for {N} replies", writes.len());
+        let got = replies(&writes.concat());
+        assert_eq!(got.len(), N + 1);
+        let mut direct = backend.prepare(&model).unwrap();
+        for (i, (id, response)) in got.iter().take(N).enumerate() {
+            assert_eq!(*id, i as u64 + 1);
+            let want = direct.classify(&windows[i]).unwrap();
+            assert!(
+                matches!(response, Response::Verdict(v) if *v == want),
+                "reply {id}"
+            );
+        }
+        assert!(matches!(got[N], (id, Response::Health(_)) if id == N as u64 + 1));
+        assert_eq!(inflight.load(Ordering::SeqCst), 0);
+        assert_eq!(shared.snapshot().responses, N as u64 + 1);
+        assert!(!dead.load(Ordering::SeqCst));
+        let _ = server.shutdown();
+    }
+
+    /// A ready reply is written before the responder blocks on a ticket
+    /// that is not answered yet: with the second request hung in the
+    /// backend, the first one's verdict is already on the wire.
+    #[test]
+    #[cfg_attr(miri, ignore = "OS threads")]
+    fn ready_reply_is_never_held_behind_a_pending_ticket() {
+        let params = params();
+        let model = HdModel::random(&params, 0x5E2);
+        let plan = FaultPlan::new().fault_at(1, FaultKind::Hang);
+        let release = plan.hang_release();
+        let backend = FaultBackend::new(FastBackend::try_with_threads(1).unwrap(), plan);
+        let server = Server::spawn(&backend, &model, ServeConfig::default()).unwrap();
+        let client = server.client();
+
+        let first = client.try_submit(window(4, params.channels, 1)).unwrap();
+        let started = Instant::now();
+        while server.stats().completed < 1 {
+            assert!(started.elapsed() < Duration::from_secs(10), "server stuck");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Call 1 hangs until released.
+        let second = client.try_submit(window(4, params.channels, 2)).unwrap();
+        let (tx, rx) = sync_channel(4);
+        tx.send(wait(1, first)).unwrap();
+        tx.send(wait(2, second)).unwrap();
+
+        let stream = Script::reading(Vec::new(), true);
+        let writes = Arc::clone(&stream.writes);
+        let (inflight, dead, shared) = (
+            AtomicUsize::new(2),
+            AtomicBool::new(false),
+            NetShared::default(),
+        );
+        std::thread::scope(|s| {
+            let responder = s.spawn({
+                let (inflight, dead, shared) = (&inflight, &dead, &shared);
+                move || Responder::new(Box::new(stream), inflight, dead, shared).run(&rx)
+            });
+            let started = Instant::now();
+            while writes.lock().unwrap().is_empty() {
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "ready reply held behind the hung ticket"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let written = replies(&writes.lock().unwrap().concat());
+            assert_eq!(written.len(), 1);
+            assert!(matches!(written[0], (1, Response::Verdict(_))));
+            assert_eq!(inflight.load(Ordering::SeqCst), 1);
+
+            release.release();
+            drop(tx);
+            responder.join().unwrap();
+        });
+        let written = replies(&writes.lock().unwrap().concat());
+        let ids: Vec<u64> = written.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [1, 2]);
+        assert!(matches!(written[1], (2, Response::Verdict(_))));
+        assert_eq!(inflight.load(Ordering::SeqCst), 0);
+        let _ = server.shutdown();
+    }
 }

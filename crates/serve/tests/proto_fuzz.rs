@@ -374,3 +374,154 @@ fn header_rejections_are_typed() {
         Err(proto::WireError::TooLarge { .. })
     ));
 }
+
+/// Frames captured from the per-element encoder this codec replaced:
+/// the bulk encoder must reproduce every one byte for byte, since the
+/// protocol version did not change. Covers both verdict shapes (with
+/// and without cycles), a batch mixing a verdict and a fault, a
+/// multi-byte UTF-8 error detail, and requests with full, ragged
+/// (padded/truncated) and empty windows.
+const PINNED: [(&str, &str); 7] = [
+    (
+        "verdict",
+        "4e4844310181000008070605040302014e0000000300000001010822080000000000e0ab000000000000\
+         e8cd080000000000050000001100000000000000efbeadde00040000050000000500000067452301efcdab89\
+         ffffffff0000000001000080",
+    ),
+    (
+        "verdict_plain",
+        "4e4844310181000007000000000000001a00000000000000000002000000090000000800000001000000\
+         a5a5a5a5",
+    ),
+    (
+        "verdict_batch",
+        "4e48443101820000080000000000000029000000020000000100000000000002000000090000000800000001\
+         000000a5a5a5a50004040000006c617465",
+    ),
+    (
+        "classify_batch",
+        "4e484431010200000b000000000000002e0000000300000000000000030000000200000002000000010002000300\
+         040000000000000000000100000001000000cdab",
+    ),
+    (
+        "error",
+        "4e48443101ee00002a0000000000000024000000031f0000007365727665722071756575652066756c6c20\
+         e2809420c3bc6ec3af636f6465",
+    ),
+    (
+        "classify",
+        "4e48443101010000090000000000000028000000dc0500000000000003000000040000000100020003000400\
+         ffff0080070000000a0014001e002800",
+    ),
+    (
+        "classify_ragged",
+        "4e484431010100000a000000000000002200000000000000000000000300000003000000010002000300040000\
+         000000050006000700",
+    ),
+];
+
+#[test]
+fn encoders_reproduce_pinned_frames_byte_for_byte() {
+    let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+    let frames = pinned_frames();
+    assert_eq!(frames.len(), PINNED.len());
+    for ((name, bytes), (pin_name, pin)) in frames.iter().zip(PINNED) {
+        assert_eq!(*name, pin_name);
+        assert_eq!(
+            hex(bytes),
+            pin,
+            "{name} frame drifted from the pinned encoding"
+        );
+        let header = decode_header(bytes, MAX_FRAME).unwrap();
+        assert_eq!(
+            header.len as usize,
+            bytes.len() - proto::HEADER_LEN,
+            "{name}"
+        );
+    }
+}
+
+fn pinned_frames() -> Vec<(&'static str, Vec<u8>)> {
+    let verdict = Verdict {
+        class: 3,
+        distances: vec![17, 0, 0xdead_beef, 1024, 5],
+        query: BinaryHv::from_words(vec![0x0123_4567, 0x89ab_cdef, 0xffff_ffff, 0, 0x8000_0001]),
+        cycles: Some(CycleBreakdown {
+            map_encode: 533_000,
+            am: 44_000,
+            total: 577_000,
+        }),
+        source: VerdictSource::EarlyAccept,
+    };
+    let plain = Verdict {
+        class: 0,
+        distances: vec![9, 8],
+        query: BinaryHv::from_words(vec![0xa5a5_a5a5]),
+        cycles: None,
+        source: VerdictSource::Scan,
+    };
+    vec![
+        (
+            "verdict",
+            encode_response(0x0102_0304_0506_0708, &Response::Verdict(verdict)),
+        ),
+        (
+            "verdict_plain",
+            encode_response(7, &Response::Verdict(plain.clone())),
+        ),
+        (
+            "verdict_batch",
+            encode_response(
+                8,
+                &Response::VerdictBatch(vec![
+                    Ok(plain),
+                    Err(WireFault::new(ErrorCode::DeadlineExceeded, "late")),
+                ]),
+            ),
+        ),
+        (
+            "classify_batch",
+            encode_request(
+                11,
+                &Request::ClassifyBatch {
+                    deadline_us: 3,
+                    windows: vec![vec![vec![1, 2], vec![3, 4]], vec![], vec![vec![0xabcd]]],
+                },
+            ),
+        ),
+        (
+            "error",
+            encode_response(
+                42,
+                &Response::Error(WireFault::new(
+                    ErrorCode::Overloaded,
+                    "server queue full — ünïcode",
+                )),
+            ),
+        ),
+        (
+            "classify",
+            encode_request(
+                9,
+                &Request::Classify {
+                    deadline_us: 1500,
+                    window: vec![
+                        vec![1, 2, 3, 4],
+                        vec![0xffff, 0x8000, 7, 0],
+                        vec![10, 20, 30, 40],
+                    ],
+                },
+            ),
+        ),
+        (
+            "classify_ragged",
+            encode_request(
+                10,
+                &Request::Classify {
+                    deadline_us: 0,
+                    window: vec![vec![1, 2, 3], vec![4], vec![5, 6, 7, 8]],
+                },
+            ),
+        ),
+    ]
+}

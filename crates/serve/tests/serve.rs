@@ -305,8 +305,13 @@ fn from_training_serves_the_trained_model() {
 fn ticket_wait_timeout_behaves() {
     let params = params();
     let model = HdModel::random(&params, 10);
+    // Call 1 — the second request's batch — hangs until released, so
+    // "not answered yet" does not depend on whether the submitting
+    // thread or the woken batcher runs first.
+    let plan = FaultPlan::new().fault_at(1, FaultKind::Hang);
+    let release = plan.hang_release();
     let server = Server::spawn(
-        &FastBackend::try_with_threads(1).unwrap(),
+        &FaultBackend::new(FastBackend::try_with_threads(1).unwrap(), plan),
         &model,
         ServeConfig {
             max_batch: 4,
@@ -320,10 +325,10 @@ fn ticket_wait_timeout_behaves() {
     let w = random_windows(&params, 2, 1, 13).remove(0);
     let t = client.submit(w.clone()).unwrap();
     assert!(t.wait_timeout(Duration::from_secs(10)).unwrap().is_some());
-    // A slow request cannot finish in zero time.
-    let slow = random_windows(&params, 4_000, 1, 14).remove(0);
-    let t = client.submit(slow).unwrap();
+    // A request whose batch is hung cannot finish in zero time.
+    let t = client.submit(w).unwrap();
     assert!(t.wait_timeout(Duration::ZERO).unwrap().is_none());
+    release.release();
     let _ = server.shutdown();
 }
 
